@@ -667,7 +667,7 @@ let micro () =
       predictor_test "pin:ltage" (fun () -> Pi_uarch.Ltage.create ());
       Test.make ~name:"pipeline:run"
         (Staged.stage (fun () ->
-             ignore (Pi_uarch.Machine.run Pi_uarch.Machine.xeon_e5440 trace placement)));
+             ignore (Pi_uarch.Pipeline.run Pi_uarch.Machine.xeon_e5440 trace placement)));
       Test.make ~name:"pipeline:legacy"
         (Staged.stage (fun () ->
              ignore (Pi_uarch.Pipeline.run_unoptimized Pi_uarch.Machine.xeon_e5440 trace placement)));

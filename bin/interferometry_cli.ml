@@ -42,15 +42,9 @@ let trace_out_term =
            ~doc:"Enable stage tracing and write the spans as Chrome \
                  trace-event JSON (loadable in Perfetto) on exit.")
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_metrics path =
   if Filename.check_suffix path ".json" then begin
-    mkdir_p (Filename.dirname path);
+    Pi_obs.Fs.mkdir_p (Filename.dirname path);
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
@@ -504,9 +498,8 @@ let sweep_cmd =
             ?map_shards ?surrogate ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace
             placement
         in
-        Printf.printf
-          "%d fused lanes + %d per-config, %d shard%s, %d warmup blocks\n"
-          s.Pi_uarch.Sweep.fused_lanes s.Pi_uarch.Sweep.fallback_lanes s.Pi_uarch.Sweep.shards
+        Printf.printf "%d fused lanes, %d shard%s, %d warmup blocks\n"
+          s.Pi_uarch.Sweep.fused_lanes s.Pi_uarch.Sweep.shards
           (if s.Pi_uarch.Sweep.shards = 1 then "" else "s")
           s.Pi_uarch.Sweep.warmup_blocks;
         if Option.is_some surrogate then
@@ -528,7 +521,7 @@ let sweep_cmd =
           s.Pi_uarch.Sweep.ltage_point.Pi_uarch.Sweep.mpki s.Pi_uarch.Sweep.predicted_ltage_cpi
           s.Pi_uarch.Sweep.ltage_error_percent;
         (let elapsed = Unix.gettimeofday () -. t0 in
-         let configs = s.Pi_uarch.Sweep.fused_lanes + s.Pi_uarch.Sweep.fallback_lanes in
+         let configs = s.Pi_uarch.Sweep.replayed_lanes in
          let metrics =
            [
              ("wall_seconds", elapsed);

@@ -162,14 +162,8 @@ let manifest_of_json j =
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_file path contents =
-  mkdir_p (Filename.dirname path);
+  Pi_obs.Fs.mkdir_p (Filename.dirname path);
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -208,7 +202,7 @@ let parse_sums text =
 
 let write ~dir ~kind ~label ~config_digest ~config_args ~benches ~n_layouts ~workers
     ~created_at ~metrics ~inputs ~outputs ?(meta = []) () =
-  mkdir_p dir;
+  Pi_obs.Fs.mkdir_p dir;
   let emit role prefix (rel, contents) =
     let rel_path = prefix ^ "/" ^ rel in
     write_file (Filename.concat dir rel_path) contents;

@@ -10,12 +10,6 @@ type t = { dir : string }
    or parallel campaigns in tests); the pid distinguishes processes. *)
 let tmp_counter = Atomic.make 0
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* A crashed (or killed) writer leaves its unique temp file behind; the
    entry itself is intact, so the orphan is pure garbage. Reap it on the
    next [create] — but only once it is old enough that it cannot belong to
@@ -39,7 +33,7 @@ let cleanup_orphan_tmps dir =
         entries
 
 let create ~dir =
-  mkdir_p dir;
+  Pi_obs.Fs.mkdir_p dir;
   cleanup_orphan_tmps dir;
   { dir }
 

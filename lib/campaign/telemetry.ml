@@ -303,14 +303,8 @@ type sink = {
 
 let null = { channel = None; owned = false; mutex = Mutex.create () }
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let to_file path =
-  mkdir_p (Filename.dirname path);
+  Pi_obs.Fs.mkdir_p (Filename.dirname path);
   { channel = Some (open_out path); owned = true; mutex = Mutex.create () }
 let to_channel oc = { channel = Some oc; owned = false; mutex = Mutex.create () }
 

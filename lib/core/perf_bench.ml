@@ -142,7 +142,7 @@ type sweep_result = {
   sweep_scale : int;
   study_configs : int;
   fused_lanes : int;
-  fallback_lanes : int;
+  closure_lanes : int;
   blocks_per_pass : int;
   baseline_seconds : float;
   fused_seconds : float;
@@ -179,8 +179,9 @@ let run_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
      sweep, not recompilation. *)
   let plan = Pi_uarch.Replay.compile config.Experiment.machine trace in
   (* One untimed fused study warms every code path the timed studies share
-     (the fallback/perfect/L-TAGE lanes go through the same Replay.run the
-     baseline uses), plus page faults, the memoized grid and its scratch. *)
+     (the perfect/L-TAGE references go through the same one-lane Replay.run
+     the baseline uses), plus page faults, the memoized grid and its
+     scratch. *)
   ignore (Sweep.run_study ~plan ~warmup_blocks ~benchmark:bench trace placement);
   let timed name f =
     Span.with_ ~name ~args:[ ("bench", bench) ] (fun () ->
@@ -212,7 +213,7 @@ let run_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
     best_of "perf.sweep_baseline" (fun () ->
         Sweep.run_grid ~plan ~warmup_blocks ~fused:false trace placement)
   in
-  let (fused_points, fused_lanes, fallback_lanes, _, _), fused_seconds =
+  let (fused_points, fused_lanes, closure_lanes, _, _), fused_seconds =
     best_of "perf.sweep_fused" (fun () ->
         Sweep.run_grid ~plan ~warmup_blocks trace placement)
   in
@@ -227,7 +228,7 @@ let run_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
     sweep_scale = scale;
     study_configs;
     fused_lanes;
-    fallback_lanes;
+    closure_lanes;
     blocks_per_pass = blocks;
     baseline_seconds;
     fused_seconds;
@@ -251,7 +252,7 @@ let sweep_to_json r =
       Printf.sprintf "  \"scale\": %d," r.sweep_scale;
       Printf.sprintf "  \"study_configs\": %d," r.study_configs;
       Printf.sprintf "  \"fused_lanes\": %d," r.fused_lanes;
-      Printf.sprintf "  \"fallback_lanes\": %d," r.fallback_lanes;
+      Printf.sprintf "  \"closure_lanes\": %d," r.closure_lanes;
       Printf.sprintf "  \"blocks_per_pass\": %d," r.blocks_per_pass;
       Printf.sprintf "  \"baseline_seconds\": %.6f," r.baseline_seconds;
       Printf.sprintf "  \"fused_seconds\": %.6f," r.fused_seconds;
@@ -273,11 +274,11 @@ let write_sweep_json ~path r =
 
 let sweep_summary r =
   Printf.sprintf
-    "%s scale %d sweep: %d configs (%d fused lanes + %d fallback), %d blocks/pass\n\
-     per-config: %.2f configs/s (%.2fs/grid)   fused: %.2f configs/s (%.2fs/grid, %.2fM \
+    "%s scale %d sweep: %d configs (%d fused lanes, %d through closures), %d blocks/pass\n\
+     one lane per pass: %.2f configs/s (%.2fs/grid)   fused: %.2f configs/s (%.2fs/grid, %.2fM \
      lane-blocks/s)\n\
      speedup: %.2fx   studies identical: %b"
-    r.sweep_bench r.sweep_scale r.study_configs r.fused_lanes r.fallback_lanes r.blocks_per_pass
+    r.sweep_bench r.sweep_scale r.study_configs r.fused_lanes r.closure_lanes r.blocks_per_pass
     r.baseline_configs_per_sec r.baseline_seconds r.fused_configs_per_sec r.fused_seconds
     (r.lane_blocks_per_sec /. 1e6) r.sweep_speedup r.sweep_identical
 

@@ -36,7 +36,8 @@ val summary : result -> string
 (** {1 Fused-sweep benchmark}
 
     Times the 145-configuration grid ({!Pi_uarch.Sweep.run_grid}) through the
-    sequential per-config loop ([fused:false]) and the fused one-pass engine,
+    sequential per-config loop ([fused:false]: 145 one-lane passes of the
+    shared walker) and the fused one-pass engine,
     verifies the full studies ({!Pi_uarch.Sweep.run_study}) are bit-identical
     across the two paths, and renders the throughput numbers as JSON
     ([BENCH_sweep.json]). *)
@@ -45,11 +46,12 @@ type sweep_result = {
   sweep_bench : string;
   sweep_scale : int;
   study_configs : int;  (** grid configurations timed per study (145) *)
-  fused_lanes : int;  (** configurations swept by the one-pass engine *)
-  fallback_lanes : int;  (** configurations on the per-config path *)
+  fused_lanes : int;  (** configurations swept by the one-pass engine (all 145) *)
+  closure_lanes : int;  (** of those, lanes driven through a predictor closure *)
   blocks_per_pass : int;  (** dynamic blocks walked per study pass *)
   baseline_seconds : float;
-      (** best-of-5 wall time of the 145-config grid, sequential path *)
+      (** best-of-5 wall time of the 145-config grid as 145 one-lane
+          passes of the same walker *)
   fused_seconds : float;  (** best-of-5 wall time of the grid, fused path *)
   baseline_configs_per_sec : float;
   fused_configs_per_sec : float;
@@ -87,7 +89,7 @@ type cache_sweep_result = {
   cache_bench : string;
   cache_scale : int;
   cache_study_configs : int;  (** grid geometries timed per study (100) *)
-  cache_fused_lanes : int;  (** always the whole grid — no fallback lanes *)
+  cache_fused_lanes : int;  (** always the whole grid *)
   cache_blocks_per_pass : int;
   cache_baseline_seconds : float;
       (** best-of-5 wall time of the 100-geometry grid, sequential path *)

@@ -212,35 +212,14 @@ let parse_payload payload =
 
 (* ---------------- Digest framing ----------------
 
-   Same frame as the serve WAL: [md5_hex(payload) ^ " " ^ payload],
-   one record per line. Unlike the WAL — whose records form a causal
-   sequence, so everything after the first bad record is suspect —
-   history records are independent observations: a bad line is skipped
-   and counted, the rest still load. Only the torn (unterminated) tail
-   is silently expected, from a crash mid-append. *)
+   The serve WAL's frame ({!Frame}), one record per line. Unlike the WAL —
+   whose records form a causal sequence, so everything after the first bad
+   record is suspect — history records are independent observations: a
+   bad line is skipped and counted, the rest still load. Only the torn
+   (unterminated) tail is silently expected, from a crash mid-append. *)
 
-let digest_len = 32 (* md5 hex *)
-
-let digest_hex payload = Digest.to_hex (Digest.string payload)
-
-let frame payload = digest_hex payload ^ " " ^ payload
-
-let parse_record line =
-  let len = String.length line in
-  if len < digest_len + 2 then Error "line too short for digest frame"
-  else if line.[digest_len] <> ' ' then Error "missing digest separator"
-  else
-    let digest = String.sub line 0 digest_len in
-    let payload = String.sub line (digest_len + 1) (len - digest_len - 1) in
-    let ok_hex =
-      String.for_all
-        (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-        digest
-    in
-    if not ok_hex then Error "digest is not lowercase hex"
-    else if not (String.equal digest (digest_hex payload)) then
-      Error "digest mismatch"
-    else parse_payload payload
+let frame = Frame.frame
+let parse_record line = Result.bind (Frame.unframe line) parse_payload
 
 type replay = { records : record list; invalid_lines : int; torn_tail : bool }
 
@@ -277,14 +256,8 @@ let read ~path =
     { records = List.rev records; invalid_lines = invalid; torn_tail }
   end
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let append ~path r =
-  mkdir_p (Filename.dirname path);
+  Fs.mkdir_p (Filename.dirname path);
   (* O_RDWR, not O_WRONLY: the torn-tail probe below reads the last byte
      back through this same descriptor. O_APPEND keeps every write at the
      end regardless of where the probe leaves the offset. *)

@@ -213,14 +213,8 @@ let events_to_chrome_json evs =
 
 let to_chrome_json () = events_to_chrome_json (events ())
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let save ~path =
-  mkdir_p (Filename.dirname path);
+  Fs.mkdir_p (Filename.dirname path);
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)

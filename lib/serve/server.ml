@@ -128,12 +128,6 @@ type t = {
 
 let port t = t.actual_port
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let result_path t id = Filename.concat (Filename.concat t.options.state_dir "jobs") (id ^ ".json")
 let port_file state_dir = Filename.concat state_dir "serve.json"
 
@@ -142,7 +136,7 @@ let port_file state_dir = Filename.concat state_dir "serve.json"
    distinction replay uses to decide whether to re-run the job. *)
 let write_result t id doc =
   let path = result_path t id in
-  mkdir_p (Filename.dirname path);
+  Pi_obs.Fs.mkdir_p (Filename.dirname path);
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
@@ -612,8 +606,8 @@ let write_port_file t =
     (fun () -> output_string oc (J.to_string doc ^ "\n"))
 
 let start options =
-  mkdir_p options.state_dir;
-  mkdir_p (Filename.concat options.state_dir "jobs");
+  Pi_obs.Fs.mkdir_p options.state_dir;
+  Pi_obs.Fs.mkdir_p (Filename.concat options.state_dir "jobs");
   if options.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity < 1";
   if options.workers < 1 then invalid_arg "Server.start: workers < 1";
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

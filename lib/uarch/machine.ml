@@ -37,8 +37,6 @@ let with_perfect_prediction config =
 let without_wrong_path config =
   { config with Pipeline.wrong_path = false; name = config.Pipeline.name ^ "-nowp" }
 
-let run = Pipeline.run
-
 let with_indirect config ~name make_indirect =
   { config with Pipeline.make_indirect; name = config.Pipeline.name ^ "+" ^ name }
 

@@ -32,7 +32,3 @@ val with_data_prefetcher : Pipeline.config -> Pipeline.config
 
 val with_trace_cache : ?geometry:Trace_cache.geometry -> Pipeline.config -> Pipeline.config
 (** Enable the placement-immune trace cache (ablation). *)
-
-val run :
-  ?warmup_blocks:int -> Pipeline.config -> Pi_isa.Trace.t -> Pi_layout.Placement.t ->
-  Pipeline.counts

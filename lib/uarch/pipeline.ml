@@ -311,14 +311,14 @@ let run_unoptimized ?(warmup_blocks = 0) config (trace : Trace.t) (placement : P
    tables, re-walking instruction arrays to find memory ops, and
    re-pattern-matching every dynamic block's terminator — is pure waste
    after the first run. [compile] performs all of that work once, producing
-   flat arrays indexed by dynamic-block ordinal; [replay] then walks those
-   arrays with no per-event allocation or variant matching. Replay output is
-   bit-identical to [run_unoptimized]: the same floats are accumulated in
-   the same order and the same cache/predictor state transitions happen in
-   the same sequence.
+   flat arrays indexed by dynamic-block ordinal; the predictor-axis walker
+   ([replay_many_body], below) then walks those arrays with no per-event
+   allocation or variant matching. Its output is bit-identical to
+   [run_unoptimized]: the same floats are accumulated in the same order and
+   the same cache/predictor state transitions happen in the same sequence.
 
    A plan is immutable after [compile] and holds no simulation state
-   (caches and predictors are created per [replay] call), so one plan can be
+   (caches and predictors are created per pass), so one plan can be
    replayed concurrently from many domains. *)
 
 type plan = {
@@ -488,10 +488,6 @@ let plan_with_config plan config =
   end
   else compile config plan.plan_trace
 
-(* Unboxed cycle accumulator: a [float ref] would box a fresh float on every
-   update, several allocations per simulated block. *)
-type cycle_acc = { mutable cycles : float }
-
 (* Branchless saturating two-bit counter update: exactly
    [if taken then min 3 (c + 1) else max 0 (c - 1)] for [c] in [0,3] and
    [taken_int] in {0,1}. Data-dependent branches on the simulated outcome
@@ -504,259 +500,6 @@ let[@inline] sat2_update c taken_int =
 let log2_exact v =
   let rec go k v = if v = 1 then k else go (k + 1) (v lsr 1) in
   go 0 v
-
-let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
-  let config = plan.plan_config in
-  let trace = plan.plan_trace in
-  let code = placement.Pi_layout.Placement.code in
-  let data = placement.Pi_layout.Placement.data in
-  let predictor = config.make_predictor () in
-  let indirect_predictor = config.make_indirect () in
-  let prefetcher = if config.data_prefetcher then Some (Prefetcher.create ()) else None in
-  let trace_cache = Option.map Trace_cache.create config.trace_cache in
-  let l1i = Cache.create config.l1i in
-  let l1d = Cache.create config.l1d in
-  let l2 = Cache.create config.l2 in
-  let block_addr = code.Pi_layout.Code_layout.block_addr in
-  let block_bytes = code.Pi_layout.Code_layout.block_bytes in
-  let branch_pc = code.Pi_layout.Code_layout.branch_pc in
-  let ibr_pc = code.Pi_layout.Code_layout.ibr_pc in
-  let global_base = data.Pi_layout.Data_layout.global_base in
-  let heap_base = data.Pi_layout.Data_layout.heap_base in
-  let line_shift = log2_exact config.l1i.Cache.line_bytes in
-  let l1i_tags, l1i_set_mask, l1i_assoc, _ = Cache.hot l1i in
-  let l1i_line_mask = lnot (config.l1i.Cache.line_bytes - 1) in
-  let data_line_mask = lnot (config.l1d.Cache.line_bytes - 1) in
-  let pen = config.penalties in
-  (* Hoisted penalty constants; [l2_fetch_penalty] matches the legacy
-     [pen.l2_miss *. 0.7] computed inline (same operands, same product). *)
-  let l1i_miss_penalty = pen.l1i_miss in
-  let l2_fetch_penalty = pen.l2_miss *. 0.7 in
-  let l1d_miss_penalty = pen.l1d_miss in
-  let l2_miss_penalty = pen.l2_miss in
-  let mispredict_penalty = pen.mispredict in
-  let btb_miss_penalty = pen.btb_miss in
-  let pkernel = predictor.Predictor.kernel in
-  let step_block = plan.step_block in
-  let step_instrs = plan.step_instrs in
-  let step_cost = plan.step_cost in
-  let step_mem_start = plan.step_mem_start in
-  let step_mem_count = plan.step_mem_count in
-  let step_kind = plan.step_kind in
-  let step_id = plan.step_id in
-  let step_next = plan.step_next in
-  let step_alt = plan.step_alt in
-  let ev_factor = plan.ev_factor in
-  let ev_mem_id = plan.ev_mem_id in
-  let mem_events = trace.Trace.mem_events in
-  let n_events = Array.length mem_events in
-  let acc = { cycles = 0.0 } in
-  let cond_mispredicts = ref 0 in
-  let indirect_mispredicts = ref 0 in
-  let btb_misses = ref 0 in
-  let cond_branches = ref 0 in
-  let indirect_branches = ref 0 in
-  let instructions = ref 0 in
-  let l1i_base = ref (0, 0) and l1d_base = ref (0, 0) and l2_base = ref (0, 0) in
-  let wrong_path_runs = ref 0 in
-  let last_prefetch_cursor = ref (-1) in
-  let wrong_path = config.wrong_path in
-  (* [cursor] is the index of the first memory event of the *next* block,
-     exactly the legacy [mem_cursor] at wrong-path time. *)
-  let wrong_path_effects alternate_block cursor =
-    if wrong_path then begin
-      let alt_line = Array.unsafe_get block_addr alternate_block land l1i_line_mask in
-      if (not (Cache.probe l1i alt_line)) && Cache.probe l2 alt_line then
-        Cache.touch l1i alt_line;
-      incr wrong_path_runs;
-      if !wrong_path_runs land 7 = 0 && !last_prefetch_cursor <> cursor && cursor < n_events
-      then begin
-        let next_event = Array.unsafe_get mem_events cursor in
-        let addr = Pi_layout.Data_layout.address data next_event in
-        Cache.touch l2 (addr land data_line_mask);
-        last_prefetch_cursor := cursor
-      end
-    end
-  in
-  let n = Array.length step_block in
-  let warmup = min warmup_blocks (max 0 (n - 1)) in
-  for i = 0 to n - 1 do
-    if i = warmup then begin
-      acc.cycles <- 0.0;
-      cond_mispredicts := 0;
-      indirect_mispredicts := 0;
-      btb_misses := 0;
-      cond_branches := 0;
-      indirect_branches := 0;
-      instructions := 0;
-      l1i_base := (Cache.accesses l1i, Cache.misses l1i);
-      l1d_base := (Cache.accesses l1d, Cache.misses l1d);
-      l2_base := (Cache.accesses l2, Cache.misses l2)
-    end;
-    let b = Array.unsafe_get step_block i in
-    instructions := !instructions + Array.unsafe_get step_instrs i;
-    acc.cycles <- acc.cycles +. Array.unsafe_get step_cost i;
-    let trace_cache_hit =
-      match trace_cache with
-      | Some tc -> Trace_cache.access tc ~block_id:b
-      | None -> false
-    in
-    if not trace_cache_hit then begin
-      let addr = Array.unsafe_get block_addr b in
-      let first = addr lsr line_shift in
-      let last = (addr + Array.unsafe_get block_bytes b - 1) lsr line_shift in
-      for l = first to last do
-        (* Fetches overwhelmingly hit the L1I MRU way (straight-line code
-           re-reads the same line); that case is inlined and the full
-           [Cache.access] path only runs when the MRU check fails. *)
-        if Array.unsafe_get l1i_tags ((l land l1i_set_mask) * l1i_assoc) = l then
-          Cache.count_hit l1i
-        else begin
-          let line_addr = l lsl line_shift in
-          if not (Cache.access l1i line_addr) then
-            if Cache.access l2 line_addr then acc.cycles <- acc.cycles +. l1i_miss_penalty
-            else acc.cycles <- acc.cycles +. l2_fetch_penalty
-        end
-      done
-    end;
-    let mstart = Array.unsafe_get step_mem_start i in
-    let mcount = Array.unsafe_get step_mem_count i in
-    if mcount > 0 then begin
-      for k = mstart to mstart + mcount - 1 do
-        let e = Array.unsafe_get mem_events k in
-        let addr =
-          let offset = Trace.mem_offset e in
-          match Trace.mem_space e with
-          | Program.Global -> global_base.(Trace.mem_target e) + offset
-          | Program.Heap -> heap_base.(Trace.mem_target e).(Trace.mem_obj e) + offset
-        in
-        if not (Cache.access l1d addr) then begin
-          let factor = Array.unsafe_get ev_factor k in
-          if Cache.access l2 addr then acc.cycles <- acc.cycles +. (l1d_miss_penalty *. factor)
-          else acc.cycles <- acc.cycles +. (l2_miss_penalty *. factor)
-        end;
-        match prefetcher with
-        | Some pf -> (
-            match Prefetcher.observe pf ~mem_id:(Array.unsafe_get ev_mem_id k) ~addr with
-            | Some (first, count) ->
-                for p = 0 to count - 1 do
-                  let line_addr = first + (p * 64) in
-                  Cache.fill l2 line_addr;
-                  Cache.fill l1d line_addr
-                done
-            | None -> ())
-        | None -> ()
-      done
-    end;
-    let kind = Array.unsafe_get step_kind i in
-    if kind <> 0 then
-      if kind < 3 then begin
-        incr cond_branches;
-        let taken_int = kind - 1 in
-        let pc = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) in
-        (* Predictor kernels: the table-indexed predictors are advanced
-           inline, with branchless counter updates, instead of paying a
-           closure call whose saturating-counter branches the host CPU
-           cannot predict. Each arm reproduces the matching [on_branch]
-           closure decision-for-decision on the shared live state. *)
-        let correct =
-          match pkernel with
-          | Some (Predictor.Hybrid_k k) ->
-              let hashed = pc lsr 1 in
-              let h = !(k.history) in
-              let gidx = (hashed lxor h) land k.gas_index_mask land k.gas_mask in
-              let bidx = hashed land k.bim_mask in
-              let cidx = hashed land k.cho_mask in
-              let gc = Char.code (Bytes.unsafe_get k.gas gidx) in
-              let bc = Char.code (Bytes.unsafe_get k.bim bidx) in
-              let cc = Char.code (Bytes.unsafe_get k.cho cidx) in
-              let gp = (gc lsr 1) land 1 in
-              let bp = (bc lsr 1) land 1 in
-              let sel = -((cc lsr 1) land 1) in
-              let p = (gp land sel) lor (bp land lnot sel) in
-              Bytes.unsafe_set k.gas gidx (Char.unsafe_chr (sat2_update gc taken_int));
-              Bytes.unsafe_set k.bim bidx (Char.unsafe_chr (sat2_update bc taken_int));
-              (* Chooser trains toward whichever component was right, and
-                 only when they disagree; expressed as an always-write with
-                 a disagreement mask so there is no data-dependent branch. *)
-              let nsel = -(gp lxor bp) in
-              let cc' = sat2_update cc (1 - (gp lxor taken_int)) in
-              Bytes.unsafe_set k.cho cidx
-                (Char.unsafe_chr ((cc' land nsel) lor (cc land lnot nsel)));
-              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
-              p = taken_int
-          | Some (Predictor.Bimodal_k k) ->
-              let idx = (pc lsr 1) land k.mask in
-              let c = Char.code (Bytes.unsafe_get k.counters idx) in
-              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
-              (c lsr 1) land 1 = taken_int
-          | Some (Predictor.Gshare_k k) ->
-              let h = !(k.history) in
-              let idx = ((pc lsr 1) lxor h) land k.mask in
-              let c = Char.code (Bytes.unsafe_get k.counters idx) in
-              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
-              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
-              (c lsr 1) land 1 = taken_int
-          | Some (Predictor.Gas_k k) ->
-              let h = !(k.history) in
-              let idx =
-                ((((pc lsr 1) land k.addr_mask) lsl k.history_bits) lor h) land k.mask
-              in
-              let c = Char.code (Bytes.unsafe_get k.counters idx) in
-              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
-              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
-              (c lsr 1) land 1 = taken_int
-          | None -> predictor.Predictor.on_branch ~pc ~taken:(taken_int <> 0)
-        in
-        if not correct then begin
-          incr cond_mispredicts;
-          acc.cycles <- acc.cycles +. mispredict_penalty;
-          wrong_path_effects (Array.unsafe_get step_alt i) (mstart + mcount)
-        end
-      end
-      else begin
-        incr indirect_branches;
-        let target_addr = Array.unsafe_get block_addr (Array.unsafe_get step_next i) in
-        let pc = Array.unsafe_get ibr_pc (Array.unsafe_get step_id i) in
-        let hit =
-          config.perfect_btb || indirect_predictor.Indirect.on_indirect ~pc ~target:target_addr
-        in
-        if not hit then begin
-          incr indirect_mispredicts;
-          incr btb_misses;
-          acc.cycles <- acc.cycles +. btb_miss_penalty;
-          let alt = Array.unsafe_get step_alt i in
-          if alt >= 0 then wrong_path_effects alt (mstart + mcount)
-        end
-      end
-  done;
-  let delta (a0, m0) cache = (Cache.accesses cache - a0, Cache.misses cache - m0) in
-  let l1i_acc, l1i_miss = delta !l1i_base l1i in
-  let l1d_acc, l1d_miss = delta !l1d_base l1d in
-  let l2_acc, l2_miss = delta !l2_base l2 in
-  Pi_obs.Metrics.inc m_replay_runs;
-  Pi_obs.Metrics.add m_replay_blocks (Array.length step_block);
-  Pi_obs.Metrics.add m_branches (!cond_branches + !indirect_branches);
-  Pi_obs.Metrics.add m_mispredicts (!cond_mispredicts + !indirect_mispredicts);
-  Pi_obs.Metrics.add m_cache_probes (l1i_acc + l1d_acc + l2_acc);
-  {
-    cycles = acc.cycles;
-    instructions = !instructions;
-    cond_branches = !cond_branches;
-    cond_mispredicts = !cond_mispredicts;
-    indirect_branches = !indirect_branches;
-    indirect_mispredicts = !indirect_mispredicts;
-    btb_misses = !btb_misses;
-    l1i_accesses = l1i_acc;
-    l1i_misses = l1i_miss;
-    l1d_accesses = l1d_acc;
-    l1d_misses = l1d_miss;
-    l2_accesses = l2_acc;
-    l2_misses = l2_miss;
-  }
-
-let run ?warmup_blocks config trace placement =
-  replay ?warmup_blocks (compile config trace) placement
 
 (* ------------------------------------------------------------------ *)
 (* Fused multi-predictor sweeps.
@@ -783,26 +526,35 @@ let run ?warmup_blocks config trace placement =
    branch-free dispatches over contiguous ranges. All history-based lanes
    share one global history register: a lane's history is the shared
    register masked to the lane's length, which holds because every kernel
-   starts at zero history and shifts in the same outcome bit.
+   starts at zero history and shifts in the same outcome bit. Predictors
+   with no kernel (L-TAGE, perceptron, static, ...) and kernels whose
+   history does not start at zero ride the last range as closure lanes:
+   each pass builds the lane's predictor afresh and advances it through
+   [on_branch].
+
+   This walker is the only predictor-axis timing model: [replay] (one
+   configuration, one placement) is a one-lane pass of it.
 
    Per-lane cache images use a set-major layout ([set][lane][way]) so the
    lane loop of one fetch or data reference scans contiguous memory.
 
    The correctness bar is the repo's standing invariant: each lane's counts
-   are bit-identical to a sequential [replay] of that configuration — the
-   same floats accumulated in the same order, the same state transitions in
-   the same sequence. *)
+   are bit-identical to [run_unoptimized] of that configuration — the same
+   floats accumulated in the same order, the same state transitions in the
+   same sequence. *)
 
 type pred_lanes = {
   batch_n : int;  (** fused lanes *)
   batch_names : string array;  (** lane names, internal (kind-sorted) order *)
   batch_src : int array;  (** internal lane -> index into the caller's config array *)
-  batch_fallback : int array;  (** caller indices with no kernel: per-config path *)
-  (* Kind ranges over internal lanes: [0,bim_hi) bimodal, [bim_hi,gsh_hi)
-     gshare, [gsh_hi,gas_hi) GAs, [gas_hi,batch_n) hybrid. *)
-  bim_hi : int;
-  gsh_hi : int;
-  gas_hi : int;
+  (* Kind ranges over internal lanes: [0,tab_hi) one-table kernels
+     (bimodal, gshare, GAs), [tab_hi,hyb_hi) hybrid, [hyb_hi,batch_n)
+     closure. *)
+  tab_hi : int;
+  hyb_hi : int;
+  makers : (unit -> Predictor.t) array;
+      (** per lane, the configuration's constructor; closure lanes call it
+          at the start of every pass *)
   tab_init : Bytes.t;  (** fresh counter-table image; blitted into scratch per pass *)
   (* Per-lane kernel parameters, internal lane order. [off1]/[mask1] is the
      main counter table (hybrid: the GAs table); [off2]/[off3] are the
@@ -814,6 +566,7 @@ type pred_lanes = {
   off3 : int array;
   mask3 : int array;
   hmask : int array;  (** history mask; 0 for historyless lanes *)
+  xmask : int array;  (** PC bits XORed into the index: all (bimodal, gshare) or none (GAs) *)
   amask : int array;  (** GAs address mask *)
   hbits : int array;  (** GAs history bits *)
   gimask : int array;  (** hybrid gas_index_mask *)
@@ -830,12 +583,16 @@ type pred_lanes = {
    lazier still: strips (one [nl * assoc] tag block per L2 set, set-major)
    are allocated on first touch ever and invalidated per pass through the
    [seen] bitmap, so a pass only clears the sets it actually references.
-   Keyed on the plan's cache geometry — a batch replayed on a different
-   machine reallocates. *)
+   Strips of consecutive sets share a page of about [page_words] words,
+   allocated on first touch of any of its sets: a page that size is born
+   in the major heap, so a small batch touching thousands of sets makes a
+   handful of allocations rather than thousands of small blocks the minor
+   collector would have to promote. Keyed on the plan's cache
+   geometry — a batch replayed on a different machine reallocates. *)
 and batch_scratch = {
   bs_sets : int;
   bs_assoc : int;
-  bs_strips : int array array;
+  bs_pages : int array array;  (** L2 strips, [page_sets] consecutive sets a page *)
   bs_seen : Bytes.t;
   bs_tab : Bytes.t;
   bs_l1i : int array;
@@ -894,9 +651,9 @@ let batch_src = function
   | Predictor_lanes b -> b.batch_src
   | Cache_lanes c -> c.cb_src
 
-let batch_fallback = function
-  | Predictor_lanes b -> b.batch_fallback
-  | Cache_lanes _ -> [||]
+let batch_closure_lanes = function
+  | Predictor_lanes b -> b.batch_n - b.hyb_hi
+  | Cache_lanes _ -> 0
 
 let batch_table_bytes = function
   | Predictor_lanes b -> Bytes.length b.tab_init
@@ -904,41 +661,41 @@ let batch_table_bytes = function
 
 let batch_axis = function Predictor_lanes _ -> "predictor" | Cache_lanes _ -> "cache"
 
-let batch_of (configs : (string * (unit -> Predictor.t)) array) =
+let pred_lanes_of (configs : (string * (unit -> Predictor.t)) array) =
   let n = Array.length configs in
   let preds = Array.map (fun (_, make) -> make ()) configs in
   (* The shared-history trick requires every history register to start at
-     zero (all Counter_table predictors do); anything else falls back. *)
+     zero (all Counter_table predictors do); anything else is a closure
+     lane. *)
   let kind_of (p : Predictor.t) =
     match p.Predictor.kernel with
     | Some (Predictor.Bimodal_k _) -> 0
-    | Some (Predictor.Gshare_k k) -> if !(k.history) = 0 then 1 else -1
-    | Some (Predictor.Gas_k k) -> if !(k.history) = 0 then 2 else -1
-    | Some (Predictor.Hybrid_k k) -> if !(k.history) = 0 then 3 else -1
-    | None -> -1
+    | Some (Predictor.Gshare_k k) when !(k.history) = 0 -> 0
+    | Some (Predictor.Gas_k k) when !(k.history) = 0 -> 0
+    | Some (Predictor.Hybrid_k k) when !(k.history) = 0 -> 1
+    | _ -> 2
   in
   let kinds = Array.map kind_of preds in
   let indices_of k =
     List.filter (fun i -> kinds.(i) = k) (List.init n (fun i -> i))
   in
-  let order = Array.of_list (List.concat_map indices_of [ 0; 1; 2; 3 ]) in
-  let fallback = Array.of_list (indices_of (-1)) in
-  let nl = Array.length order in
+  let order = Array.of_list (List.concat_map indices_of [ 0; 1; 2 ]) in
+  let nl = n in
   let count k = Array.fold_left (fun a x -> if x = k then a + 1 else a) 0 kinds in
-  let bim_hi = count 0 in
-  let gsh_hi = bim_hi + count 1 in
-  let gas_hi = gsh_hi + count 2 in
+  let tab_hi = count 0 in
+  let hyb_hi = tab_hi + count 1 in
   let off1 = Array.make nl 0 and mask1 = Array.make nl 0 in
   let off2 = Array.make nl 0 and mask2 = Array.make nl 0 in
   let off3 = Array.make nl 0 and mask3 = Array.make nl 0 in
   let hmask = Array.make nl 0 in
+  let xmask = Array.make nl 0 in
   let amask = Array.make nl 0 in
   let hbits = Array.make nl 0 in
   let gimask = Array.make nl 0 in
   let total = ref 0 in
   (* Counters are packed four per byte in the fused image (each is a 2-bit
      saturator): the whole 145-config grid then fits in well under 1 MiB,
-     where the one-per-byte layout of the sequential predictors would keep
+     where the one-per-byte layout of the predictors' own tables would keep
      3+ MiB hot and kernel updates cache-miss-bound. Offsets are in counter
      units; every table is padded to a 4-counter boundary so a byte never
      spans two tables. *)
@@ -952,13 +709,19 @@ let batch_of (configs : (string * (unit -> Predictor.t)) array) =
   Array.iteri
     (fun j i ->
       match preds.(i).Predictor.kernel with
+      | _ when j >= hyb_hi ->
+          (* Closure lanes own no table space; the offset marks where a
+             shard's slice of the image ends. *)
+          off1.(j) <- !total
       | Some (Predictor.Bimodal_k k) ->
           off1.(j) <- alloc k.counters;
-          mask1.(j) <- k.mask
+          mask1.(j) <- k.mask;
+          xmask.(j) <- -1
       | Some (Predictor.Gshare_k k) ->
           off1.(j) <- alloc k.counters;
           mask1.(j) <- k.mask;
-          hmask.(j) <- k.history_mask
+          hmask.(j) <- k.history_mask;
+          xmask.(j) <- -1
       | Some (Predictor.Gas_k k) ->
           off1.(j) <- alloc k.counters;
           mask1.(j) <- k.mask;
@@ -977,39 +740,44 @@ let batch_of (configs : (string * (unit -> Predictor.t)) array) =
       | None -> assert false)
     order;
   let tab_init = Bytes.make ((!total + 3) / 4) '\000' in
+  (* Tables start on byte boundaries, so each output byte takes four
+     consecutive counters of one table. *)
   List.iter
     (fun (o, b) ->
-      for k = 0 to Bytes.length b - 1 do
-        let pos = o + k in
-        let byte = Char.code (Bytes.get tab_init (pos lsr 2)) in
-        let sh = (pos land 3) lsl 1 in
-        Bytes.set tab_init (pos lsr 2)
-          (Char.chr (byte lor (Char.code (Bytes.get b k) lsl sh)))
+      let len = Bytes.length b in
+      let counter k = if k < len then Char.code (Bytes.get b k) else 0 in
+      for q = 0 to ((len + 3) / 4) - 1 do
+        let k = 4 * q in
+        Bytes.set tab_init ((o lsr 2) + q)
+          (Char.chr
+             (counter k lor (counter (k + 1) lsl 2) lor (counter (k + 2) lsl 4)
+             lor (counter (k + 3) lsl 6)))
       done)
     !blits;
-  Predictor_lanes
-    {
-      batch_n = nl;
-      batch_names = Array.map (fun i -> fst configs.(i)) order;
-      batch_src = order;
-      batch_fallback = fallback;
-      bim_hi;
-      gsh_hi;
-      gas_hi;
-      tab_init;
-      off1;
-      mask1;
-      off2;
-      mask2;
-      off3;
-      mask3;
-      hmask;
-      amask;
-      hbits;
-      gimask;
-      hist_keep = Array.fold_left ( lor ) 0 hmask;
-      scratch = None;
-    }
+  {
+    batch_n = nl;
+    batch_names = Array.map (fun i -> fst configs.(i)) order;
+    batch_src = order;
+    tab_hi;
+    hyb_hi;
+    makers = Array.map (fun i -> snd configs.(i)) order;
+    tab_init;
+    off1;
+    mask1;
+    off2;
+    mask2;
+    off3;
+    mask3;
+    hmask;
+    xmask;
+    amask;
+    hbits;
+    gimask;
+    hist_keep = Array.fold_left ( lor ) 0 hmask;
+    scratch = None;
+  }
+
+let batch_of configs = Predictor_lanes (pred_lanes_of configs)
 
 (* Pack cache-geometry variants into lanes. Validation is eager and loud:
    every geometry must construct (power-of-two line and set count — the
@@ -1082,8 +850,7 @@ let cache_batch_of ~(l1i : Cache.geometry) ~(l2 : Cache.geometry)
    count. Lane tables are allocated in internal-lane order, so a shard's
    tables occupy one contiguous slice of [tab_init]; offsets are rebased to
    the slice (offsets of tables a shard's kinds never read may go negative —
-   they are never dereferenced). Sub-batches carry no fallback lanes: the
-   fallback set belongs to the whole batch, not to any shard. *)
+   they are never dereferenced). *)
 let pred_shard (b : pred_lanes) ~shards =
   let nl = b.batch_n in
   let k = if nl = 0 then 1 else max 1 (min shards nl) in
@@ -1107,10 +874,9 @@ let pred_shard (b : pred_lanes) ~shards =
           batch_n = m;
           batch_names = sub b.batch_names;
           batch_src = sub b.batch_src;
-          batch_fallback = [||];
-          bim_hi = clamp b.bim_hi;
-          gsh_hi = clamp b.gsh_hi;
-          gas_hi = clamp b.gas_hi;
+          tab_hi = clamp b.tab_hi;
+          hyb_hi = clamp b.hyb_hi;
+          makers = sub b.makers;
           tab_init = Bytes.sub b.tab_init (start lsr 2) ((stop - start) lsr 2);
           off1 = rebase b.off1;
           mask1 = sub b.mask1;
@@ -1119,6 +885,7 @@ let pred_shard (b : pred_lanes) ~shards =
           off3 = rebase b.off3;
           mask3 = sub b.mask3;
           hmask;
+          xmask = sub b.xmask;
           amask = sub b.amask;
           hbits = sub b.hbits;
           gimask = sub b.gimask;
@@ -1184,7 +951,11 @@ let cache_metrics = fused_metrics "cache"
 
 (* [find_way]/[promote] over a flat multi-lane tag image; identical scans to
    {!Cache.find_way}/{!Cache.promote} so lane cache transitions replicate
-   the sequential path exactly. *)
+   [run_unoptimized]'s {!Cache.t} exactly. *)
+(* Target words per L2 strip page: above the 256-word limit past which the
+   runtime allocates straight into the major heap. *)
+let page_words = 4096
+
 let[@inline] lane_find_way (tags : int array) base assoc (tag : int) =
   let limit = base + assoc in
   let i = ref base in
@@ -1229,6 +1000,18 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
      it lives in the batch's scratch and is reset (not reallocated) when
      geometry and table size still match. *)
   let l1i_words = l1i_sets * nl * l1i_assoc in
+  let strip_words = nl * l2_assoc in
+  (* [page_sets] = 2^[page_shift] sets share a page of at most
+     [page_words] words (one set when a strip alone is larger). *)
+  let page_shift =
+    let rec go k =
+      if k < log2_exact l2_sets && strip_words lsl (k + 1) <= page_words then go (k + 1)
+      else k
+    in
+    go 0
+  in
+  let page_sets = 1 lsl page_shift in
+  let page_mask = page_sets - 1 in
   let tab_len = Bytes.length batch.tab_init in
   let scratch =
     match batch.scratch with
@@ -1248,7 +1031,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
           {
             bs_sets = l2_sets;
             bs_assoc = l2_assoc;
-            bs_strips = Array.make l2_sets [||];
+            bs_pages = Array.make ((l2_sets + page_sets - 1) / page_sets) [||];
             bs_seen = Bytes.make l2_sets '\000';
             bs_tab = Bytes.create tab_len;
             bs_l1i = Array.make l1i_words (-1);
@@ -1278,23 +1061,20 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
     end;
     Array.unsafe_set lane_mru ((s * nl) + j) line
   in
-  let l2_strips = scratch.bs_strips in
+  let l2_pages = scratch.bs_pages in
   let l2_seen = scratch.bs_seen in
+  (* The page holding [set]'s strip, which starts at word
+     [(set land page_mask) * strip_words]. *)
   let l2_strip set =
-    if Bytes.unsafe_get l2_seen set <> '\000' then Array.unsafe_get l2_strips set
-    else begin
+    let p = set lsr page_shift in
+    if Array.length (Array.unsafe_get l2_pages p) = 0 then
+      Array.unsafe_set l2_pages p (Array.make (page_sets * strip_words) (-1));
+    let page = Array.unsafe_get l2_pages p in
+    if Bytes.unsafe_get l2_seen set = '\000' then begin
       Bytes.unsafe_set l2_seen set '\001';
-      let s = Array.unsafe_get l2_strips set in
-      if Array.length s > 0 then begin
-        Array.fill s 0 (nl * l2_assoc) (-1);
-        s
-      end
-      else begin
-        let s = Array.make (nl * l2_assoc) (-1) in
-        Array.unsafe_set l2_strips set s;
-        s
-      end
-    end
+      Array.fill page ((set land page_mask) * strip_words) strip_words (-1)
+    end;
+    page
   in
   let l1i_line_mask = lnot (config.l1i.Cache.line_bytes - 1) in
   let data_line_mask = lnot (config.l1d.Cache.line_bytes - 1) in
@@ -1325,11 +1105,14 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
   let off1 = batch.off1 and mask1 = batch.mask1 in
   let off2 = batch.off2 and mask2 = batch.mask2 in
   let off3 = batch.off3 and mask3 = batch.mask3 in
-  let hmask = batch.hmask and amask = batch.amask in
+  let hmask = batch.hmask and xmask = batch.xmask and amask = batch.amask in
   let hbits = batch.hbits and gimask = batch.gimask in
   let hist_keep = batch.hist_keep in
   let history = ref 0 in
-  let bim_hi = batch.bim_hi and gsh_hi = batch.gsh_hi and gas_hi = batch.gas_hi in
+  let tab_hi = batch.tab_hi and hyb_hi = batch.hyb_hi in
+  (* Closure lanes start every pass from a freshly built predictor, as a
+     memoized batch replays many passes. *)
+  let closures = Array.init (nl - hyb_hi) (fun k -> batch.makers.(hyb_hi + k) ()) in
   (* Per-lane accumulators and cache counters (with warmup snapshots). *)
   let cyc = Array.make nl 0.0 in
   let cond_mis = Array.make nl 0 in
@@ -1358,8 +1141,9 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
   let l2_ref j addr =
     Array.unsafe_set l2_acc j (Array.unsafe_get l2_acc j + 1);
     let line = addr lsr l2_shift in
-    let strip = l2_strip (line land l2_set_mask) in
-    let base = j * l2_assoc in
+    let set = line land l2_set_mask in
+    let strip = l2_strip set in
+    let base = ((set land page_mask) * strip_words) + (j * l2_assoc) in
     if Array.unsafe_get strip base = line then true
     else begin
       let way = lane_find_way strip base l2_assoc line in
@@ -1376,8 +1160,9 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
   in
   let l2_probe j addr =
     let line = addr lsr l2_shift in
-    let strip = l2_strip (line land l2_set_mask) in
-    let base = j * l2_assoc in
+    let set = line land l2_set_mask in
+    let strip = l2_strip set in
+    let base = ((set land page_mask) * strip_words) + (j * l2_assoc) in
     Array.unsafe_get strip base = line || lane_find_way strip base l2_assoc line >= 0
   in
   (* Counted L1I reference (the wrong-path touch); the fetch loop inlines
@@ -1409,7 +1194,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
     || lane_find_way l1i_tags (((s * nl) + j) * l1i_assoc) l1i_assoc line >= 0
   in
   (* Per-lane wrong-path effects; [cursor] is the first memory event of the
-     next block, as in [replay]. *)
+     next block, [run_unoptimized]'s [mem_cursor] at wrong-path time. *)
   let wrong_path_effects j alternate_block cursor =
     let alt_line = Array.unsafe_get block_addr alternate_block land l1i_line_mask in
     if (not (l1i_probe j alt_line)) && l2_probe j alt_line then l1i_touch j alt_line;
@@ -1484,8 +1269,8 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
           else begin
             let mru_base = s * nl in
             for j = 0 to nl - 1 do
-              (* Per-lane MRU fast path, as in [replay]: promote would be a
-                 no-op. *)
+              (* Per-lane MRU fast path: a way-0 hit, where promote would be
+                 a no-op. *)
               if Array.unsafe_get lane_mru (mru_base + j) <> l then begin
                 let base = set_base + (j * l1i_assoc) in
                 let way = lane_find_way l1i_tags base l1i_assoc l in
@@ -1525,10 +1310,12 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
           (* Inlined [l2_ref] with the set strip hoisted out of the lane
              loop: every lane references the same L2 set. *)
           let line = addr lsr l2_shift in
-          let strip = l2_strip (line land l2_set_mask) in
+          let set = line land l2_set_mask in
+          let strip = l2_strip set in
+          let off = (set land page_mask) * strip_words in
           for j = 0 to nl - 1 do
             Array.unsafe_set l2_acc j (Array.unsafe_get l2_acc j + 1);
-            let base = j * l2_assoc in
+            let base = off + (j * l2_assoc) in
             if Array.unsafe_get strip base = line then
               Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
             else begin
@@ -1552,9 +1339,11 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
                 for p = 0 to count - 1 do
                   let line_addr = first + (p * 64) in
                   let line = line_addr lsr l2_shift in
-                  let strip = l2_strip (line land l2_set_mask) in
+                  let set = line land l2_set_mask in
+                  let strip = l2_strip set in
+                  let off = (set land page_mask) * strip_words in
                   for j = 0 to nl - 1 do
-                    let base = j * l2_assoc in
+                    let base = off + (j * l2_assoc) in
                     if Array.unsafe_get strip base <> line then begin
                       let way = lane_find_way strip base l2_assoc line in
                       lane_promote strip base (if way >= 0 then way else l2_assoc - 1) line
@@ -1571,49 +1360,23 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
       if kind < 3 then begin
         incr cond_branches;
         let taken_int = kind - 1 in
-        let hashed = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) lsr 1 in
+        let pc = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) in
+        let hashed = pc lsr 1 in
         let h_all = !history in
         let cursor = mstart + mcount in
         let alt = Array.unsafe_get step_alt i in
-        (* Per-kind lane loops, each reproducing the matching [replay]
-           kernel arm decision-for-decision on the lane's packed tables. *)
-        for j = 0 to bim_hi - 1 do
-          let idx = hashed land Array.unsafe_get mask1 j in
-          let pos = Array.unsafe_get off1 j + idx in
-          let byte = Char.code (Bytes.unsafe_get tab (pos lsr 2)) in
-          let sh = (pos land 3) lsl 1 in
-          let c = (byte lsr sh) land 3 in
-          Bytes.unsafe_set tab (pos lsr 2)
-            (Char.unsafe_chr (byte lxor ((c lxor sat2_update c taken_int) lsl sh)));
-          if (c lsr 1) land 1 <> taken_int then begin
-            (* open-coded [mispredicted]: a closure call per lane-mispredict
-               is measurable at ~1M events per pass *)
-            Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
-            Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
-            if wrong_path then wrong_path_effects j alt cursor
-          end
-        done;
-        for j = bim_hi to gsh_hi - 1 do
-          let h = h_all land Array.unsafe_get hmask j in
-          let idx = (hashed lxor h) land Array.unsafe_get mask1 j in
-          let pos = Array.unsafe_get off1 j + idx in
-          let byte = Char.code (Bytes.unsafe_get tab (pos lsr 2)) in
-          let sh = (pos land 3) lsl 1 in
-          let c = (byte lsr sh) land 3 in
-          Bytes.unsafe_set tab (pos lsr 2)
-            (Char.unsafe_chr (byte lxor ((c lxor sat2_update c taken_int) lsl sh)));
-          if (c lsr 1) land 1 <> taken_int then begin
-            (* open-coded [mispredicted]: a closure call per lane-mispredict
-               is measurable at ~1M events per pass *)
-            Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
-            Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
-            if wrong_path then wrong_path_effects j alt cursor
-          end
-        done;
-        for j = gsh_hi to gas_hi - 1 do
-          let h = h_all land Array.unsafe_get hmask j in
+        (* Per-kind lane loops, each reproducing the matching predictor's
+           [on_branch] decision-for-decision on the lane's packed tables;
+           closure lanes call [on_branch] itself. *)
+        (* One-table kernels share one index formula, specialised per lane
+           by its masks: bimodal [pc], gshare [pc xor h], GAs
+           [(pc land a) lsl bits lor h] (bimodal has no history bits, GAs
+           XORs no PC bits). *)
+        for j = 0 to tab_hi - 1 do
           let idx =
-            (((hashed land Array.unsafe_get amask j) lsl Array.unsafe_get hbits j) lor h)
+            (((hashed land Array.unsafe_get amask j) lsl Array.unsafe_get hbits j)
+             lor (h_all land Array.unsafe_get hmask j)
+            lxor (hashed land Array.unsafe_get xmask j))
             land Array.unsafe_get mask1 j
           in
           let pos = Array.unsafe_get off1 j + idx in
@@ -1630,7 +1393,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
             if wrong_path then wrong_path_effects j alt cursor
           end
         done;
-        for j = gas_hi to nl - 1 do
+        for j = tab_hi to hyb_hi - 1 do
           let h = h_all land Array.unsafe_get hmask j in
           let gidx =
             (hashed lxor h) land Array.unsafe_get gimask j land Array.unsafe_get mask1 j
@@ -1671,6 +1434,15 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
             if wrong_path then wrong_path_effects j alt cursor
           end
         done;
+        let taken = taken_int <> 0 in
+        for j = hyb_hi to nl - 1 do
+          let p = Array.unsafe_get closures (j - hyb_hi) in
+          if not (p.Predictor.on_branch ~pc ~taken) then begin
+            Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
+            Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
+            if wrong_path then wrong_path_effects j alt cursor
+          end
+        done;
         history := ((h_all lsl 1) lor taken_int) land hist_keep
       end
       else begin
@@ -1695,10 +1467,6 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
   let l1d_a0, l1d_m0 = !l1d_base in
   let l1d_accesses = Cache.accesses l1d - l1d_a0 in
   let l1d_misses = Cache.misses l1d - l1d_m0 in
-  (let m_passes, m_blocks, g_lanes = pred_metrics in
-   Pi_obs.Metrics.inc m_passes;
-   Pi_obs.Metrics.add m_blocks (nl * n);
-   Pi_obs.Metrics.set g_lanes (float_of_int nl));
   Array.init nl (fun j ->
       {
         cycles = cyc.(j);
@@ -1955,7 +1723,7 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
             let base =
               Array.unsafe_get i_off j + ((l land Array.unsafe_get i_mask j) * assoc)
             in
-            (* Way-0 hit: promote is a no-op, as in [replay]'s MRU check. *)
+            (* Way-0 hit: promote is a no-op. *)
             if Array.unsafe_get l1i_img base <> l then begin
               let way = lane_find_way l1i_img base assoc l in
               if way >= 0 then lane_promote l1i_img base way l
@@ -2017,7 +1785,7 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
         (* One shared predictor: decisions are geometry-invariant, and the
            closure is decision-identical to the inlined kernels (the
            standing kernel-vs-closure invariant), so each lane's mispredict
-           stream matches its sequential [replay] exactly. *)
+           stream matches its own one-lane replay exactly. *)
         let correct = predictor.Predictor.on_branch ~pc ~taken:(taken_int <> 0) in
         if not correct then begin
           incr cond_mispredicts;
@@ -2048,10 +1816,6 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
   let l1d_a0, l1d_m0 = !l1d_base in
   let l1d_accesses = Cache.accesses l1d - l1d_a0 in
   let l1d_misses = Cache.misses l1d - l1d_m0 in
-  (let m_passes, m_blocks, g_lanes = cache_metrics in
-   Pi_obs.Metrics.inc m_passes;
-   Pi_obs.Metrics.add m_blocks (nl * n);
-   Pi_obs.Metrics.set g_lanes (float_of_int nl));
   Array.init nl (fun j ->
       {
         cycles = cyc.(j);
@@ -2070,19 +1834,48 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
       })
 
 let replay_many ?(warmup_blocks = 0) plan batch placement =
-  if batch_lanes batch = 0 then [||]
-  else
-    Pi_obs.Span.with_ ~name:"replay.fused"
-      ~args:
-        [
-          ("axis", batch_axis batch);
-          ("lanes", string_of_int (batch_lanes batch));
-          ("blocks", string_of_int (Array.length plan.step_block));
-        ]
-      (fun () ->
-        match batch with
-        | Predictor_lanes b -> replay_many_body ~warmup_blocks plan b placement
-        | Cache_lanes c -> replay_many_cache_body ~warmup_blocks plan c placement)
+  let nl = batch_lanes batch in
+  if nl = 0 then [||]
+  else begin
+    let n = Array.length plan.step_block in
+    let counts =
+      Pi_obs.Span.with_ ~name:"replay.fused"
+        ~args:
+          [
+            ("axis", batch_axis batch);
+            ("lanes", string_of_int nl);
+            ("blocks", string_of_int n);
+          ]
+        (fun () ->
+          match batch with
+          | Predictor_lanes b -> replay_many_body ~warmup_blocks plan b placement
+          | Cache_lanes c -> replay_many_cache_body ~warmup_blocks plan c placement)
+    in
+    let m_passes, m_blocks, g_lanes =
+      match batch with Predictor_lanes _ -> pred_metrics | Cache_lanes _ -> cache_metrics
+    in
+    Pi_obs.Metrics.inc m_passes;
+    Pi_obs.Metrics.add m_blocks (nl * n);
+    Pi_obs.Metrics.set g_lanes (float_of_int nl);
+    counts
+  end
+
+(* One configuration under one placement: a one-lane pass of the
+   predictor-axis walker. It meters itself as a replay, not as a fused
+   sweep pass, so traces and metrics keep the two layers apart. *)
+let replay ?(warmup_blocks = 0) plan placement =
+  let config = plan.plan_config in
+  let lane = pred_lanes_of [| (config.name, config.make_predictor) |] in
+  let c = (replay_many_body ~warmup_blocks plan lane placement).(0) in
+  Pi_obs.Metrics.inc m_replay_runs;
+  Pi_obs.Metrics.add m_replay_blocks (Array.length plan.step_block);
+  Pi_obs.Metrics.add m_branches (c.cond_branches + c.indirect_branches);
+  Pi_obs.Metrics.add m_mispredicts (c.cond_mispredicts + c.indirect_mispredicts);
+  Pi_obs.Metrics.add m_cache_probes (c.l1i_accesses + c.l1d_accesses + c.l2_accesses);
+  c
+
+let run ?warmup_blocks config trace placement =
+  replay ?warmup_blocks (compile config trace) placement
 
 let cpi c =
   if c.instructions = 0 then 0.0 else c.cycles /. float_of_int c.instructions

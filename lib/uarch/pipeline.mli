@@ -94,10 +94,13 @@ val run : ?warmup_blocks:int -> config -> Pi_isa.Trace.t -> Pi_layout.Placement.
 
 val run_unoptimized :
   ?warmup_blocks:int -> config -> Pi_isa.Trace.t -> Pi_layout.Placement.t -> counts
-(** The legacy interpreter: recomputes every trace-derived table per call and
-    pattern-matches terminators per dynamic block. Kept as the reference
-    implementation for the golden-equivalence tests and the perf baseline;
-    produces bit-identical {!counts} to {!replay}. *)
+(** The reference interpreter: recomputes every trace-derived table per call
+    and pattern-matches terminators per dynamic block, with one plain
+    {!Cache.t} per level and the predictor driven through its closure. It
+    shares no simulation loop with the compiled walker, which makes it the
+    oracle for the golden-equivalence and differential tests and the perf
+    baseline; {!replay} and every lane of {!replay_many} produce
+    bit-identical {!counts}. *)
 
 type plan
 (** A compiled, placement-invariant replay plan: flat per-dynamic-block and
@@ -111,9 +114,12 @@ val compile : config -> Pi_isa.Trace.t -> plan
 (** One-time O(trace) compilation; see {!plan}. *)
 
 val replay : ?warmup_blocks:int -> plan -> Pi_layout.Placement.t -> counts
-(** Simulate the compiled trace under one placement. Bit-identical to
-    {!run_unoptimized} with the plan's config and trace: the same floats are
-    accumulated in the same order. *)
+(** Simulate the compiled trace under one placement: a one-lane predictor
+    batch of the plan's configuration through the same walker as
+    {!replay_many}. Bit-identical to {!run_unoptimized} with the plan's
+    config and trace: the same floats are accumulated in the same order.
+    Meters the [pi_obs_replay_*] counters; it opens no [replay.fused] span
+    and bumps no fused-pass metric. *)
 
 val plan_with_config : plan -> config -> plan
 (** Rebind a plan to a new machine config. Reuses the compiled arrays when
@@ -142,7 +148,8 @@ type batch
     Predictor lanes ({!batch_of}) pack every lane's saturating-counter
     tables in one flat byte image addressed through per-lane offset/mask
     arrays, lanes sorted by kernel kind, with one shared global-history
-    register serving all history-based lanes. Cache lanes
+    register serving all history-based lanes; lanes with no kernel ride a
+    last range of closure lanes. Cache lanes
     ({!cache_batch_of}) pack every lane's L1I and L2 tag images as
     lane-major slices of one flat int arena, addressed through per-lane
     offset/set-mask/assoc arrays, while one shared direction predictor,
@@ -156,9 +163,13 @@ type batch
     sub-batches (for 2+ shards) are distinct by construction. *)
 
 val batch_of : (string * (unit -> Predictor.t)) array -> batch
-(** Pack every configuration exposing a {!Predictor.kernel} into fused
-    lanes; the rest (perfect, static, L-TAGE — anything closure-only) are
-    recorded as fallback indices for the caller's per-config path. *)
+(** Pack every configuration into one lane each. Configurations exposing a
+    {!Predictor.kernel} whose history starts at zero become packed kernel
+    lanes; the rest (perfect, static, L-TAGE, perceptron, tournament, local
+    two-level — anything closure-only) become closure lanes, which call
+    the configuration's constructor afresh at the start of every pass and
+    advance through [on_branch]. Every configuration is a lane: a batch
+    covers its argument exactly once. *)
 
 val cache_batch_of :
   l1i:Cache.geometry -> l2:Cache.geometry -> (string * Cache.geometry * Cache.geometry) array -> batch
@@ -168,7 +179,7 @@ val cache_batch_of :
     ({!Cache.geometry_sets}); all lanes must share the seed's L1I and L2
     line sizes (line size is shared across a fused pass), and duplicate
     (L1I, L2) geometry pairs are rejected with [Invalid_argument] naming
-    both lanes. Cache batches have no fallback lanes. *)
+    both lanes. *)
 
 val batch_lanes : batch -> int
 (** Fused lane count. *)
@@ -180,9 +191,10 @@ val batch_src : batch -> int array
 (** Maps internal lane order back to indices into the configuration array
     given to {!batch_of}; aligned with {!replay_many}'s result. *)
 
-val batch_fallback : batch -> int array
-(** Indices (into the {!batch_of} argument) of configurations without a
-    kernel, which must be simulated by the sequential per-config path. *)
+val batch_closure_lanes : batch -> int
+(** Lanes advanced through their predictor's [on_branch] closure rather
+    than a packed kernel; 0 for a cache batch, whose lanes share one
+    predictor. *)
 
 val batch_table_bytes : batch -> int
 (** Total packed lane-state bytes across all lanes (counter tables for
@@ -209,10 +221,12 @@ val replay_many : ?warmup_blocks:int -> plan -> batch -> Pi_layout.Placement.t -
     trace cache, prefetcher and L1D (their inputs never depend on cache
     geometry) and keep per-lane cycles and L1I/L2 tag images and
     counters. Result is indexed in the batch's internal lane order (see
-    {!batch_src}); each element is bit-identical to {!replay} of the same
-    configuration — same floats accumulated in the same order, same state
-    transitions in the same sequence. For a cache batch the plan's
-    machine must carry the seed geometries the batch was built for. *)
+    {!batch_src}); each element is bit-identical to {!run_unoptimized} of
+    the same configuration — same floats accumulated in the same order,
+    same state transitions in the same sequence. For a cache batch the
+    plan's machine must carry the seed geometries the batch was built for.
+    Each pass opens a [replay.fused] span and bumps the fused-pass
+    metrics of its axis. *)
 
 val cpi : counts -> float
 

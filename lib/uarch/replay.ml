@@ -21,7 +21,7 @@ let batch_axis = Pipeline.batch_axis
 let batch_lanes = Pipeline.batch_lanes
 let batch_names = Pipeline.batch_names
 let batch_src = Pipeline.batch_src
-let batch_fallback = Pipeline.batch_fallback
+let batch_closure_lanes = Pipeline.batch_closure_lanes
 let batch_table_bytes = Pipeline.batch_table_bytes
 let shard = Pipeline.batch_shard
 let run_many = Pipeline.replay_many

@@ -5,7 +5,8 @@
     costs, memory-op spans with pre-resolved overlap factors, pre-decoded
     terminators — into flat arrays once; {!run} then replays the trace under
     a placement with no per-event allocation or variant matching, producing
-    bit-identical {!Pipeline.counts} to {!Pipeline.run_unoptimized}.
+    bit-identical {!Pipeline.counts} to {!Pipeline.run_unoptimized}. {!run}
+    and {!run_many} share one walker: a single run is a one-lane batch.
 
     Plans are immutable and hold no simulation state, so a single plan can
     be shared across domains (e.g. `pi_campaign` workers). *)
@@ -16,7 +17,8 @@ val compile : Pipeline.config -> Pi_isa.Trace.t -> plan
 (** One-time O(trace) compilation of the placement-invariant work. *)
 
 val run : ?warmup_blocks:int -> plan -> Pi_layout.Placement.t -> Pipeline.counts
-(** Replay under one placement; bit-identical to the legacy interpreter. *)
+(** Replay under one placement: a one-lane pass of the {!run_many}
+    walker; bit-identical to the reference interpreter. *)
 
 val with_config : plan -> Pipeline.config -> plan
 (** Rebind to a new machine config, reusing the compiled arrays when only
@@ -42,14 +44,15 @@ val words : plan -> int
     (predictor axis) or the L1I/L2 geometries (cache axis). {!run_many}
     walks the plan once for a whole batch of lanes, sharing the
     lane-invariant simulation and producing, for every lane, counts
-    bit-identical to a sequential {!run} of that configuration. See
+    bit-identical to {!Pipeline.run_unoptimized} of that configuration. See
     {!Pipeline.replay_many} for the per-axis sharing contract. *)
 
 type batch = Pipeline.batch
 
 val batch_of : (string * (unit -> Predictor.t)) array -> batch
-(** Pack the kernel-bearing configurations into fused predictor lanes;
-    the rest are reported by {!batch_fallback} for the per-config path. *)
+(** One fused predictor lane per configuration: packed kernel lanes where
+    the predictor has a {!Predictor.kernel}, closure lanes otherwise. See
+    {!Pipeline.batch_of}. *)
 
 val cache_batch_of :
   l1i:Cache.geometry -> l2:Cache.geometry -> (string * Cache.geometry * Cache.geometry) array -> batch
@@ -68,7 +71,9 @@ val batch_src : batch -> int array
 (** Internal lane order -> caller config index; aligned with {!run_many}'s
     result array. *)
 
-val batch_fallback : batch -> int array
+val batch_closure_lanes : batch -> int
+(** Lanes driven through a predictor closure; see {!Pipeline.batch_closure_lanes}. *)
+
 val batch_table_bytes : batch -> int
 
 val shard : batch -> shards:int -> batch array
@@ -78,4 +83,4 @@ val shard : batch -> shards:int -> batch array
 
 val run_many : ?warmup_blocks:int -> plan -> batch -> Pi_layout.Placement.t -> Pipeline.counts array
 (** One pass over the plan, all lanes at once; bit-identical per lane to
-    the sequential path. *)
+    the reference interpreter. *)

@@ -115,7 +115,6 @@ type study = {
   ltage_error_percent : float;
   warmup_blocks : int;
   fused_lanes : int;
-  fallback_lanes : int;
   shards : int;
   sources : source array;
   replayed_lanes : int;
@@ -467,7 +466,7 @@ let simulate ~warmup_blocks base plan placement name make =
 
 (* The 145-configuration grid through either path; the timing target of
    BENCH_sweep.json. Returns
-   (points, fused_lanes, fallback_lanes, shards, grid_seconds). *)
+   (points, fused_lanes, closure_lanes, shards, grid_seconds). *)
 let run_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1) ?map_shards
     ?(fused = true) trace placement =
   let plan =
@@ -483,7 +482,7 @@ let run_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 
   in
   if not fused then begin
     Array.iteri (fun i (name, make) -> points.(i) <- simulate name make) configs;
-    (points, 0, n, 0, Pi_obs.Clock.now () -. t0)
+    (points, 0, 0, 0, Pi_obs.Clock.now () -. t0)
   end
   else begin
     let batch = grid_batch () in
@@ -504,14 +503,9 @@ let run_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 
           (fun j c -> points.(src.(j)) <- point_of_counts (fst configs.(src.(j))) c)
           counts)
       shard_counts;
-    Array.iter
-      (fun i ->
-        let name, make = configs.(i) in
-        points.(i) <- simulate name make)
-      (Replay.batch_fallback batch);
     ( points,
       Replay.batch_lanes batch,
-      Array.length (Replay.batch_fallback batch),
+      Replay.batch_closure_lanes batch,
       n_shards,
       Pi_obs.Clock.now () -. t0 )
   end
@@ -529,8 +523,8 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
     match surrogate with Some (Budget b) when b >= n -> None | s -> s
   in
   let simulate = simulate ~warmup_blocks base plan placement in
-  let finish points ~fused_lanes ~fallback_lanes ~shards_used ~sources ~replayed_lanes
-      ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds =
+  let finish points ~fused_lanes ~shards_used ~sources ~replayed_lanes ~surrogate_rounds
+      ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds =
     let perfect = simulate "perfect" Perfect.perfect in
     let ltage_point = simulate "L-TAGE" (fun () -> Ltage.create ()) in
     let xs = Array.map (fun p -> p.mpki) points in
@@ -553,7 +547,6 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
       ltage_error_percent = error_percent predicted_ltage_cpi ltage_point.cpi;
       warmup_blocks;
       fused_lanes;
-      fallback_lanes;
       shards = shards_used;
       sources;
       replayed_lanes;
@@ -566,33 +559,31 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
   in
   match surrogate with
   | None ->
-      let points, fused_lanes, fallback_lanes, shards_used, grid_seconds =
+      let points, fused_lanes, _, shards_used, grid_seconds =
         run_grid ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused trace placement
       in
-      finish points ~fused_lanes ~fallback_lanes ~shards_used
+      finish points ~fused_lanes ~shards_used
         ~sources:(Array.make (Array.length points) Replayed)
         ~replayed_lanes:(Array.length points) ~surrogate_rounds:0 ~surrogate_max_abs_err:0.0
         ~surrogate_mean_abs_err:0.0 ~grid_seconds
   | Some steering ->
       let feats = Array.map (fun (name, _) -> Pi_stats.Surrogate.predictor_features name) configs in
       (* Anchor the seed on the static predictors: the extreme ends of the
-         accuracy range, and the only fallback (kernel-less) lanes. *)
+         accuracy range. *)
       let anchors = ref [] in
       Array.iteri
         (fun i (name, _) ->
           if name = "static-taken" || name = "static-not-taken" then anchors := i :: !anchors)
         configs;
       let seconds = ref 0.0 in
-      let fused_total = ref 0 and fallback_total = ref 0 and shards_seen = ref 0 in
+      let fused_total = ref 0 and shards_seen = ref 0 in
       let replay idxs =
         let t0 = Pi_obs.Clock.now () in
         let subset = Array.map (fun i -> configs.(i)) idxs in
         let out = ref [] in
         let emit i (p : point) = out := (i, [| p.mpki; p.cpi |]) :: !out in
-        if not fused then begin
-          Array.iteri (fun j (name, make) -> emit idxs.(j) (simulate name make)) subset;
-          fallback_total := !fallback_total + Array.length subset
-        end
+        if not fused then
+          Array.iteri (fun j (name, make) -> emit idxs.(j) (simulate name make)) subset
         else begin
           (* The chosen lanes still run fused in one pass: a fresh sub-grid
              batch packed from the subset, sharded like the full path. *)
@@ -620,14 +611,7 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
                     })
                 counts)
             shard_counts;
-          Array.iter
-            (fun k ->
-              let gi = idxs.(k) in
-              let name, make = configs.(gi) in
-              emit gi (simulate name make))
-            (Replay.batch_fallback batch);
-          fused_total := !fused_total + Replay.batch_lanes batch;
-          fallback_total := !fallback_total + Array.length (Replay.batch_fallback batch)
+          fused_total := !fused_total + Replay.batch_lanes batch
         end;
         seconds := !seconds +. (Pi_obs.Clock.now () -. t0);
         !out
@@ -643,10 +627,10 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
               cpi = st.st_values.(i).(1);
             })
       in
-      finish points ~fused_lanes:!fused_total ~fallback_lanes:!fallback_total
-        ~shards_used:!shards_seen ~sources:st.st_sources ~replayed_lanes:st.st_replayed
-        ~surrogate_rounds:st.st_rounds ~surrogate_max_abs_err:st.st_max_err
-        ~surrogate_mean_abs_err:st.st_mean_err ~grid_seconds:!seconds
+      finish points ~fused_lanes:!fused_total ~shards_used:!shards_seen ~sources:st.st_sources
+        ~replayed_lanes:st.st_replayed ~surrogate_rounds:st.st_rounds
+        ~surrogate_max_abs_err:st.st_max_err ~surrogate_mean_abs_err:st.st_mean_err
+        ~grid_seconds:!seconds
 
 (* ------------------------------------------------------------------ *)
 (* The cache-geometry axis (INTERPLAY's question): sweep way-disabled and
@@ -744,7 +728,6 @@ type cache_study = {
   seed_error_percent : float;
   cache_warmup_blocks : int;
   cache_fused_lanes : int;
-  cache_fallback_lanes : int;
   cache_shards : int;
   cache_sources : source array;
   cache_replayed_lanes : int;
@@ -800,7 +783,7 @@ let run_cache_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sha
       (fun i (name, gi, gd) ->
         points.(i) <- simulate_cache ~warmup_blocks base plan placement name gi gd)
       configs;
-    (points, 0, n, 0, Pi_obs.Clock.now () -. t0)
+    (points, 0, 0, 0, Pi_obs.Clock.now () -. t0)
   end
   else begin
     let batch = cache_grid_batch ~l1i:base.Pipeline.l1i ~l2:base.Pipeline.l2 in
@@ -839,8 +822,8 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
   let surrogate =
     match surrogate with Some (Budget b) when b >= n -> None | s -> s
   in
-  let finish points ~fused_lanes ~fallback_lanes ~shards_used ~sources ~replayed_lanes
-      ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds =
+  let finish points ~fused_lanes ~shards_used ~sources ~replayed_lanes ~surrogate_rounds
+      ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds =
     let is_seed p = p.l1i_geometry = l1i && p.l2_geometry = l2 in
     let seed_point =
       match Array.find_opt is_seed points with
@@ -873,7 +856,6 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
       seed_error_percent;
       cache_warmup_blocks = warmup_blocks;
       cache_fused_lanes = fused_lanes;
-      cache_fallback_lanes = fallback_lanes;
       cache_shards = shards_used;
       cache_sources = sources;
       cache_replayed_lanes = replayed_lanes;
@@ -886,10 +868,10 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
   in
   match surrogate with
   | None ->
-      let points, fused_lanes, fallback_lanes, shards_used, grid_seconds =
+      let points, fused_lanes, _, shards_used, grid_seconds =
         run_cache_grid ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused trace placement
       in
-      finish points ~fused_lanes ~fallback_lanes ~shards_used
+      finish points ~fused_lanes ~shards_used
         ~sources:(Array.make (Array.length points) Replayed)
         ~replayed_lanes:(Array.length points) ~surrogate_rounds:0 ~surrogate_max_abs_err:0.0
         ~surrogate_mean_abs_err:0.0 ~grid_seconds
@@ -906,19 +888,17 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
       Array.iteri (fun i (_, gi, gd) -> if gi = l1i && gd = l2 then seed_idx := i) configs;
       let anchors = [ !seed_idx; 0 ] in
       let seconds = ref 0.0 in
-      let fused_total = ref 0 and fallback_total = ref 0 and shards_seen = ref 0 in
+      let fused_total = ref 0 and shards_seen = ref 0 in
       let replay idxs =
         let t0 = Pi_obs.Clock.now () in
         let out = ref [] in
         let emit i (p : cache_point) = out := (i, [| p.l1i_mpki; p.l2_mpki; p.cache_cpi |]) :: !out in
-        if not fused then begin
+        if not fused then
           Array.iter
             (fun gi_idx ->
               let name, gi, gd = configs.(gi_idx) in
               emit gi_idx (simulate_cache ~warmup_blocks base plan placement name gi gd))
-            idxs;
-          fallback_total := !fallback_total + Array.length idxs
-        end
+            idxs
         else begin
           let subset = Array.map (fun i -> configs.(i)) idxs in
           let batch = Replay.cache_batch_of ~l1i ~l2 subset in
@@ -959,7 +939,7 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
               cache_cpi = st.st_values.(i).(2);
             })
       in
-      finish points ~fused_lanes:!fused_total ~fallback_lanes:!fallback_total
-        ~shards_used:!shards_seen ~sources:st.st_sources ~replayed_lanes:st.st_replayed
-        ~surrogate_rounds:st.st_rounds ~surrogate_max_abs_err:st.st_max_err
-        ~surrogate_mean_abs_err:st.st_mean_err ~grid_seconds:!seconds
+      finish points ~fused_lanes:!fused_total ~shards_used:!shards_seen ~sources:st.st_sources
+        ~replayed_lanes:st.st_replayed ~surrogate_rounds:st.st_rounds
+        ~surrogate_max_abs_err:st.st_max_err ~surrogate_mean_abs_err:st.st_mean_err
+        ~grid_seconds:!seconds

@@ -42,9 +42,8 @@ type study = {
   predicted_ltage_cpi : float;
   ltage_error_percent : float;
   warmup_blocks : int;  (** leading blocks excluded from every count *)
-  fused_lanes : int;  (** configurations swept by the fused one-pass engine *)
-  fallback_lanes : int;  (** configurations on the sequential per-config path
-      (all of them when [fused=false]) *)
+  fused_lanes : int;  (** configurations swept by multi-lane fused passes
+      (0 when [fused=false]) *)
   shards : int;  (** fused sub-batches executed (0 when [fused=false]) *)
   sources : source array;  (** aligned with [points]; all [Replayed] unless
       the study was surrogate-steered *)
@@ -79,8 +78,11 @@ val run_grid :
     and L-TAGE reference simulations or the regression: the unit the fused
     engine accelerates, and the timing target of the sweep benchmark
     ([BENCH_sweep.json]). Returns
-    [(points, fused_lanes, fallback_lanes, shards, grid_seconds)]; all
-    arguments behave as in {!run_study}. *)
+    [(points, fused_lanes, closure_lanes, shards, grid_seconds)], where
+    [closure_lanes] counts the fused lanes driven through a predictor
+    closure (the two static predictors; {!Replay.batch_closure_lanes}).
+    [fused:false] reports 0 lanes and 0 shards. All arguments behave as in
+    {!run_study}. *)
 
 val run_study :
   ?base:Pipeline.config ->
@@ -101,15 +103,16 @@ val run_study :
     — a placement sweep, or benchmarking — compile once and pass it here);
     it must be [Replay.compile base trace] or the study is meaningless.
 
-    By default ([fused], on) every kernel-bearing configuration is swept in
-    one {!Replay.run_many} pass over the compiled plan — optionally split
-    into [shards] lane shards (default 1) evaluated through [map_shards]
+    By default ([fused], on) every grid configuration — the static
+    predictors included, as closure lanes — is swept in one
+    {!Replay.run_many} pass over the compiled plan, optionally split into
+    [shards] lane shards (default 1) evaluated through [map_shards]
     (default sequential; pass a {!shard_map} backed by
-    [Pi_campaign.Scheduler] for domain parallelism) — and only the
-    kernel-less configurations (the static predictors), plus perfect and
-    L-TAGE, take the sequential per-config path. [fused:false] forces the
-    sequential loop for everything; results are bit-identical either way,
-    and the merge order is deterministic regardless of [shards].
+    [Pi_campaign.Scheduler] for domain parallelism). Perfect and L-TAGE,
+    which are references rather than grid points, take one {!Replay.run}
+    each. [fused:false] runs every configuration as its own one-lane
+    {!Replay.run}; results are bit-identical either way, and the merge
+    order is deterministic regardless of [shards].
 
     [surrogate] switches on steering: the study seeds with a deterministic
     space-filling subset of the grid (anchored on the static predictors),
@@ -172,8 +175,7 @@ type cache_study = {
   predicted_seed_cpi : float;  (** the model at the seed point's miss rates *)
   seed_error_percent : float;  (** |predicted - actual| / actual * 100 *)
   cache_warmup_blocks : int;
-  cache_fused_lanes : int;
-  cache_fallback_lanes : int;  (** all of them when [fused=false], else 0 *)
+  cache_fused_lanes : int;  (** 0 when [fused=false] *)
   cache_shards : int;  (** fused sub-batches executed (0 when [fused=false]) *)
   cache_sources : source array;  (** aligned with [cache_points] *)
   cache_replayed_lanes : int;
@@ -197,9 +199,11 @@ val run_cache_grid :
 (** Just the 100-geometry grid of {!run_cache_study}, without the
     regression: the unit the fused cache axis accelerates, and the timing
     target of [BENCH_cache_sweep.json]. Returns
-    [(points, fused_lanes, fallback_lanes, shards, grid_seconds)]; all
-    arguments behave as in {!run_study} (the fused batch is one
-    {!Replay.cache_batch_of} pack, memoized per seed-geometry pair). *)
+    [(points, fused_lanes, closure_lanes, shards, grid_seconds)] as
+    {!run_grid} does ([closure_lanes] is always 0 here: cache lanes share
+    one predictor); all arguments behave as in {!run_study} (the fused
+    batch is one {!Replay.cache_batch_of} pack, memoized per seed-geometry
+    pair). *)
 
 val run_cache_study :
   ?base:Pipeline.config ->

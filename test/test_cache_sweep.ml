@@ -177,12 +177,11 @@ let test_study_fused_equals_sequential () =
   let baseline =
     Sweep.run_cache_study ~warmup_blocks:500 ~fused:false ~benchmark trace placement
   in
-  Alcotest.(check int) "baseline fallback lanes" 100 baseline.Sweep.cache_fallback_lanes;
+  Alcotest.(check int) "baseline fused lanes" 0 baseline.Sweep.cache_fused_lanes;
   Alcotest.(check string)
     "seed point is the seed machine" "l1i-w8+l2-w8" baseline.Sweep.seed_point.Sweep.geometry_name;
   let fused = Sweep.run_cache_study ~warmup_blocks:500 ~benchmark trace placement in
   Alcotest.(check int) "fused lanes" 100 fused.Sweep.cache_fused_lanes;
-  Alcotest.(check int) "fallback lanes" 0 fused.Sweep.cache_fallback_lanes;
   Alcotest.(check int) "warmup recorded" 500 fused.Sweep.cache_warmup_blocks;
   check_studies_equal "fused==sequential" fused baseline;
   let sharded_seq =

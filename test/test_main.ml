@@ -8,7 +8,8 @@ let () =
    @ Test_pin.suite
    @ Test_core.suite
    @ Test_plot.suite @ Test_extensions.suite @ Test_characters.suite
-   @ Test_analysis.suite @ Test_fuzz.suite @ Test_reproduction.suite @ Test_surrogate.suite
+   @ Test_analysis.suite @ Test_fuzz.suite @ Test_differential.suite @ Test_reproduction.suite
+   @ Test_surrogate.suite
    @ Test_campaign.suite @ Test_resilience.suite @ Test_obs.suite
    @ Test_flight.suite
    @ Test_serve.suite @ Test_bundle.suite @ Test_distributed.suite)

@@ -83,7 +83,7 @@ let test_run_is_replay () =
     (Replay.run (Replay.compile config trace) placement)
 
 (* Every predictor family with an inline kernel (bimodal, gshare, GAs,
-   hybrid) plus a kernel-less predictor (perceptron, closure fallback):
+   hybrid) plus a kernel-less predictor (perceptron, a closure lane):
    replay must match the closure-driven legacy path on live state. *)
 let test_kernel_families () =
   let p, trace = traced "445.gobmk" in

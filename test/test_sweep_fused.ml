@@ -1,9 +1,9 @@
 (* Golden-equivalence tests for the fused sweep engine: Replay.run_many
-   must reproduce the sequential per-config loop field-for-field
-   (bit-identical cycles included) for every lane, across benchmarks x
-   seeds x machines, with and without warmup — and lane sharding must be
-   deterministic: any shard count, sequential or domain-parallel, yields
-   the same study. *)
+   must reproduce the reference interpreter (Pipeline.run_unoptimized)
+   field-for-field (bit-identical cycles included) for every lane, across
+   benchmarks x seeds x machines, with and without warmup — and lane
+   sharding must be deterministic: any shard count, sequential or
+   domain-parallel, yields the same study. *)
 
 module Pipeline = Pi_uarch.Pipeline
 module Replay = Pi_uarch.Replay
@@ -39,11 +39,13 @@ let machines =
 
 let configs = Array.of_list (Sweep.configurations ())
 
-(* The sequential reference for one lane: exactly Sweep's per-config path. *)
-let sequential ~warmup_blocks base plan placement i =
+(* The reference for one lane: the oracle interpreter on the lane's
+   machine. Replay.run is itself a one-lane pass of the walker under test,
+   so it cannot serve as the reference. *)
+let oracle ~warmup_blocks base plan placement i =
   let name, make = configs.(i) in
   let config = Machine.with_predictor base ~name make in
-  Replay.run ~warmup_blocks (Replay.with_config plan config) placement
+  Pipeline.run_unoptimized ~warmup_blocks config (Replay.trace plan) placement
 
 let check_batch ~warmup_blocks label base plan placement =
   let batch = Replay.batch_of configs in
@@ -55,7 +57,7 @@ let check_batch ~warmup_blocks label base plan placement =
       check_counts
         (Printf.sprintf "%s lane %s" label (fst configs.(i)))
         c
-        (sequential ~warmup_blocks base plan placement i))
+        (oracle ~warmup_blocks base plan placement i))
     fused
 
 (* Every lane of the full 145-config grid, bit-exact, over 3 benches x 2
@@ -87,25 +89,24 @@ let test_golden_with_warmup () =
       check_batch ~warmup_blocks:1500 ("warmup/" ^ machine_name) base plan placement)
     machines
 
-(* The batch partition: 143 of the 145 grid configurations carry kernels
-   (bimodal/gshare/GAs/hybrid); the two static predictors fall back. Fused
-   and fallback indices together cover the grid exactly once. *)
+(* The batch partition: every grid configuration is a lane. 143 carry
+   kernels (bimodal/gshare/GAs/hybrid); the two static predictors ride the
+   closure range, which sorts last. The lanes cover the grid exactly
+   once. *)
 let test_batch_partition () =
   let batch = Replay.batch_of configs in
-  Alcotest.(check int) "fused lanes" 143 (Replay.batch_lanes batch);
-  let fallback = Replay.batch_fallback batch in
-  let fallback_names =
-    List.sort compare (Array.to_list (Array.map (fun i -> fst configs.(i)) fallback))
-  in
+  let n = Array.length configs in
+  Alcotest.(check int) "fused lanes" n (Replay.batch_lanes batch);
+  Alcotest.(check int) "closure lanes" 2 (Replay.batch_closure_lanes batch);
+  let names = Replay.batch_names batch in
   Alcotest.(check (list string))
-    "fallback = static predictors"
+    "closure lanes = static predictors"
     [ "static-not-taken"; "static-taken" ]
-    fallback_names;
-  let covered = Array.append (Replay.batch_src batch) fallback in
+    (List.sort compare [ names.(n - 2); names.(n - 1) ]);
   Alcotest.(check (list int))
-    "src + fallback cover the grid"
-    (List.init (Array.length configs) (fun i -> i))
-    (List.sort compare (Array.to_list covered));
+    "lanes cover the grid exactly once"
+    (List.init n (fun i -> i))
+    (List.sort compare (Array.to_list (Replay.batch_src batch)));
   Alcotest.(check bool) "packed tables non-empty" true (Replay.batch_table_bytes batch > 0)
 
 (* Sharding splits the lane set without loss or reorder of the merge: for
@@ -178,10 +179,9 @@ let test_study_fused_equals_sequential () =
   let baseline =
     Sweep.run_study ~warmup_blocks:500 ~fused:false ~benchmark trace placement
   in
-  Alcotest.(check int) "baseline fallback lanes" 145 baseline.Sweep.fallback_lanes;
+  Alcotest.(check int) "baseline fused lanes" 0 baseline.Sweep.fused_lanes;
   let fused = Sweep.run_study ~warmup_blocks:500 ~benchmark trace placement in
-  Alcotest.(check int) "fused lanes" 143 fused.Sweep.fused_lanes;
-  Alcotest.(check int) "fallback lanes" 2 fused.Sweep.fallback_lanes;
+  Alcotest.(check int) "fused lanes" 145 fused.Sweep.fused_lanes;
   Alcotest.(check int) "warmup recorded" 500 fused.Sweep.warmup_blocks;
   check_studies_equal "fused==sequential" fused baseline;
   let sharded_seq =
@@ -217,7 +217,9 @@ let suite =
         Alcotest.test_case "golden matrix: 145 lanes x 3 benches x 2 seeds x 2 machines" `Quick
           test_golden_matrix;
         Alcotest.test_case "golden with warmup" `Quick test_golden_with_warmup;
-        Alcotest.test_case "batch partition: 143 fused + 2 fallback" `Quick test_batch_partition;
+        Alcotest.test_case
+          "batch partition: 143 fused + 2 closure lanes cover the grid exactly once" `Quick
+          test_batch_partition;
         Alcotest.test_case "shard partition and merge" `Quick test_shard_partition;
         Alcotest.test_case "study: fused == sequential, jobs 1 == jobs 4" `Quick
           test_study_fused_equals_sequential;
